@@ -3,7 +3,7 @@ package repro.bench
 import java.nio.file.{Files, Paths, StandardOpenOption}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SynthGraphs
-import repro.approx.{ApproxResult, BSApprox, CoreApprox, PeelApprox}
+import repro.approx.{BSApprox, CoreApprox, PeelApprox}
 import repro.core.SparkCoreEngine
 import repro.exact.DDSExact
 import repro.graph.{DigraphOps, LocalDigraph}

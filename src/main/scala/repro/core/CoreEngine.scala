@@ -47,13 +47,7 @@ trait CoreEngine {
 
 /** Reference engine over a driver-local digraph. */
 final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
-  private final case class H(x: Int, y: Int, s: CoreSub) extends CoreHandle {
-    def sSize: Long = s.sSize.toLong
-    def tSize: Long = s.tSize.toLong
-    def m: Long     = s.m.toLong
-    def sub(): CoreSub = s
-    def candidate(): Candidate = Candidate(s.s, s.t, s.m.toLong)
-  }
+  import LocalCoreEngine.H
 
   def n: Long = g.n.toLong
   def m: Long = g.m.toLong
@@ -81,19 +75,37 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
     val host = warm match {
       case Some(h: H) if h.s.nonEmpty => graphOf(h.s)
-      case Some(_)                    => g // foreign/empty handle: ignore warm start
-      case None                       => g
+      case _                          => g // foreign/empty handle: ignore warm start
     }
     val sub = LocalXYCore.peel(host, x, y)
     if (sub.isEmpty) None else Some(H(x, y, sub))
   }
 }
 
-/** Production engine: Spark DataFrame iterative peeling over cached edges.
+object LocalCoreEngine {
+  /** A core held on the driver. It warm-starts any local engine whose graph
+    * contains it (its edges alone determine every smaller core).
+    */
+  private final case class H(x: Int, y: Int, s: CoreSub) extends CoreHandle {
+    def sSize: Long = s.sSize.toLong
+    def tSize: Long = s.tSize.toLong
+    def m: Long     = s.m.toLong
+    def sub(): CoreSub = s
+    def candidate(): Candidate = Candidate(s.s, s.t, s.m.toLong)
+  }
+}
+
+/** Production engine: Spark dataflow peeling over cached edges, handing
+  * small subgraphs to the driver.
   *
-  * ``localCutoff`` — see [[XYCore.peel]]: cores whose alive edge count has
-  * dropped to this size are finished by the exact in-memory peeler instead
-  * of paying one Spark round per cascade layer.
+  * The hand-off rule (DESIGN.md, "Spark→driver hand-off"): before each
+  * Spark degree round of a query at (x,y), if the alive pair-subgraph has at
+  * most ``localCutoff`` edges it is collected once and kept as a driver-local
+  * *root* keyed by (x,y). The alive set contains the [x',y']-core of G for
+  * every x' ≥ x, y' ≥ y, and that core of the root equals the core of G, so
+  * the root answers every later query it dominates without a Spark job. A
+  * fixpoint above the budget is returned as a Spark handle. The whole graph
+  * with m ≤ ``localCutoff`` is the root at (1,1).
   */
 final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
   /** Canonicalized, cached base edge set all cores derive from. */
@@ -113,62 +125,39 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   def n: Long = st.n
   def m: Long = st.m
 
-  private lazy val full: CoreSub = {
-    val g = LocalDigraph.fromEdges(base)
-    val pairs = g.edgePairs.toArray
-    if (pairs.isEmpty) CoreSub.empty
-    else CoreSub(pairs.map(_._1).distinct.sorted, pairs.map(_._2).distinct.sorted, pairs)
+  /** Roots by key; an antichain, as a new root replaces the roots it dominates. */
+  private var roots = List.empty[((Int, Int), LocalCoreEngine)]
+
+  /** The root that answers (x,y): one it dominates, or the whole graph as
+    * the root at (1,1) when m fits the budget (no degree round runs first).
+    */
+  private def rootFor(x: Int, y: Int): Option[LocalCoreEngine] =
+    roots.collectFirst { case ((rx, ry), r) if rx <= x && ry <= y => r }
+      .orElse(Option.when(st.m <= localCutoff)(addRoot(1, 1, base)))
+
+  private def addRoot(x: Int, y: Int, edges: DataFrame): LocalCoreEngine = {
+    val r = new LocalCoreEngine(LocalDigraph.fromEdges(edges))
+    roots = ((x, y), r) :: roots.filterNot { case ((rx, ry), _) => x <= rx && y <= ry }
+    r
   }
-  def fullSub(): CoreSub = full
 
-  // A graph that fits entirely under the cutoff is collected once and all
-  // core queries answered by the in-memory reference engine — repeated
-  // collect-per-core jobs would otherwise dominate on mid-size graphs.
-  private lazy val delegate: Option[LocalCoreEngine] =
-    if (st.m <= localCutoff) Some(new LocalCoreEngine(LocalDigraph.fromEdges(base)))
-    else None
+  private lazy val collectedFull: CoreSub = new LocalCoreEngine(LocalDigraph.fromEdges(base)).fullSub()
 
-  // Small cores materialized once are kept as driver-local sub-engines; a
-  // query at (x,y) dominating a cached core's (cx,cy) has its answer fully
-  // inside that core (nestedness), so it is served without a Spark job.
-  private final case class CachedCore(x: Int, y: Int, engine: LocalCoreEngine)
-  private val cached = scala.collection.mutable.ArrayBuffer.empty[CachedCore]
+  // a root at (1,1) contains the [1,1]-core, which is the whole graph
+  def fullSub(): CoreSub = rootFor(1, 1).fold(collectedFull)(_.fullSub())
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    delegate match {
-      case Some(d) =>
-        // local handles warm-start each other; foreign (H) handles are ignored
-        d.core(x, y, warm.filterNot(_.isInstanceOf[H]))
+    // local handles warm-start any root; Spark handles only the dataflow peel
+    val localWarm = warm.filterNot(_.isInstanceOf[H])
+    rootFor(x, y) match {
+      case Some(r) => r.core(x, y, localWarm)
       case None =>
-        cached.find(c => c.x <= x && c.y <= y) match {
-          case Some(cc) =>
-            cc.engine.core(x, y, warm.filterNot(_.isInstanceOf[H]))
-          case None =>
-            val w = warm.collect { case h: H => h.core }
-            val t0 = System.nanoTime()
-            val c = XYCore.peel(base, x, y, w, localCutoff)
-            if (SparkCoreEngine.verbose) {
-              val ms = (System.nanoTime() - t0) / 1000000L
-              Console.err.println(
-                s"[core] [$x,$y] warm=${w.map(_.m).getOrElse(-1L)} -> |S|=${c.s.length} |T|=${c.t.length} m=${c.m} ${ms}ms")
-            }
-            if (c.isEmpty) None
-            else {
-              if (c.m <= localCutoff && cached.size < 8) {
-                val sub = XYCore.collectSub(base, c)
-                cached += CachedCore(x, y,
-                  new LocalCoreEngine(LocalDigraph.fromPairs(sub.edges.toSeq)))
-              }
-              Some(H(c))
-            }
+        XYCore.shrink(base, x, y, warm.collect { case h: H => h.core }, localCutoff) match {
+          case Right(c) => if (c.isEmpty) None else Some(H(c))
+          case Left(a)  => addRoot(x, y, XYCore.restrict(base, a.s, a.t)).core(x, y, localWarm)
         }
     }
   }
 
   def release(): Unit = { base.unpersist(); () }
-}
-
-object SparkCoreEngine {
-  /** Per-core-call timing lines on stderr (export REPRO_VERBOSE=1). */
-  val verbose: Boolean = sys.env.get("REPRO_VERBOSE").contains("1")
 }

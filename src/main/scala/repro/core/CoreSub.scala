@@ -19,7 +19,6 @@ final case class CoreSub(s: Array[Long], t: Array[Long], edges: Array[(Long, Lon
 
   def density: Double = DigraphOps.density(m.toLong, sSize.toLong, tSize.toLong)
   def surrogate(a: Double): Double = DigraphOps.surrogate(m.toLong, sSize.toLong, tSize.toLong, a)
-  def ratio: Double   = if (tSize == 0) 0.0 else sSize.toDouble / tSize.toDouble
 }
 
 object CoreSub {
@@ -34,5 +33,4 @@ final case class Candidate(s: Array[Long], t: Array[Long], m: Long) {
   def tSize: Int = t.length
   def density: Double = DigraphOps.density(m, sSize.toLong, tSize.toLong)
   def surrogate(a: Double): Double = DigraphOps.surrogate(m, sSize.toLong, tSize.toLong, a)
-  def ratio: Double = if (tSize == 0) 1.0 else sSize.toDouble / tSize.toDouble
 }

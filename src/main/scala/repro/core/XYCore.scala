@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** A computed [x,y]-core: the alive side sets and the edge count between
@@ -10,8 +10,12 @@ import org.apache.spark.sql.functions._
 final case class SparkCore(x: Int, y: Int, s: Array[Long], t: Array[Long], m: Long) {
   def isEmpty: Boolean  = s.isEmpty || t.isEmpty || m == 0
   def nonEmpty: Boolean = !isEmpty
-  def density: Double   = repro.graph.DigraphOps.density(m, s.length.toLong, t.length.toLong)
 }
+
+/** Where [[XYCore.shrink]] stopped short of the [x,y]-core: alive sides
+  * (sorted ids) that still contain it, with at most ``m`` edges between them.
+  */
+final case class Alive(s: Array[Long], t: Array[Long], m: Long)
 
 /** Iterative [x,y]-core peeling as Spark dataflow.
   *
@@ -25,22 +29,26 @@ final case class SparkCore(x: Int, y: Int, s: Array[Long], t: Array[Long], m: Lo
   */
 object XYCore {
 
-  /** Degree rows of the current pair-subgraph: (id, side 0=src/1=dst, cnt). */
-  private def degreeRows(cur: DataFrame): Array[(Long, Int, Long)] = {
-    val exploded = cur.select(
+  /** One degree round, one Spark job: the out- and in-degrees of the
+    * pair-subgraph of ``base`` on (s, t) — both null = all of ``base`` — as
+    * rows (id, side 0=src/1=dst, degree).
+    */
+  def degreeRound(base: DataFrame, s: Array[Long], t: Array[Long]): Array[(Long, Int, Long)] = {
+    val cur = if (s == null) base else restrict(base, s, t)
+    cur.select(
       explode(array(
         struct(col("src").as("id"), lit(0).as("side")),
         struct(col("dst").as("id"), lit(1).as("side"))
       )).as("v")
     ).select(col("v.id").as("id"), col("v.side").as("side"))
-    exploded
       .groupBy("id", "side")
       .agg(count(lit(1)).as("cnt"))
       .collect()
       .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
   }
 
-  private def restrict(base: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
+  /** The edges of ``base`` from ``s`` into ``t`` (broadcast semi-joins). */
+  def restrict(base: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
     val spark = base.sparkSession
     import spark.implicits._
     base
@@ -51,58 +59,47 @@ object XYCore {
   /** Peel ``base`` (cached edges, columns src/dst) down to its [x,y]-core.
     * ``warm`` optionally restricts the search to a superset core (valid
     * whenever warm.x ≤ x and warm.y ≤ y, by nestedness).
-    *
-    * ``localCutoff``: once the alive edge count drops to this size, the
-    * remaining pair-subgraph is collected and the (identical) fixpoint is
-    * finished by the exact in-memory peeler. Batch peeling near the
-    * critical threshold can cascade one thin layer per round — hundreds of
-    * rounds of job-launch latency for a subgraph that by then fits in
-    * memory. 0 disables the hybrid (pure dataflow rounds, used in tests).
     */
-  def peel(base: DataFrame, x: Int, y: Int, warm: Option[SparkCore] = None,
-           localCutoff: Long = 0L): SparkCore = {
+  def peel(base: DataFrame, x: Int, y: Int, warm: Option[SparkCore] = None): SparkCore =
+    shrink(base, x, y, warm, limit = -1L)
+      .getOrElse(sys.error("an alive set never has a negative edge count"))
+
+  /** Degree rounds as in [[peel]], stopping before any round whose alive
+    * pair-subgraph is known to have at most ``limit`` edges. Right: the
+    * [x,y]-core, empty or with more than ``limit`` edges. Left: the alive
+    * sides at the stop, which contain the [x',y']-core for every x' ≥ x,
+    * y' ≥ y.
+    */
+  def shrink(base: DataFrame, x: Int, y: Int, warm: Option[SparkCore],
+             limit: Long): Either[Alive, SparkCore] = {
     require(x >= 1 && y >= 1, s"need x,y >= 1, got [$x,$y]")
     warm.foreach { w =>
       require(w.x <= x && w.y <= y, s"invalid warm start [${w.x},${w.y}] for [$x,$y]")
     }
+    val empty = Right(SparkCore(x, y, Array.empty, Array.empty, 0L))
+    if (warm.exists(_.isEmpty)) return empty
     var sAlive: Array[Long] = warm.map(_.s).orNull // null = unrestricted
     var tAlive: Array[Long] = warm.map(_.t).orNull
-    if (warm.exists(_.isEmpty)) return SparkCore(x, y, Array.empty, Array.empty, 0L)
-
-    def finishLocally(cur: DataFrame): SparkCore = {
-      val pairs = cur.select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1)))
-      val sub = LocalXYCore.peel(repro.graph.LocalDigraph.fromCleanPairs(pairs.toSeq), x, y)
-      if (sub.isEmpty) SparkCore(x, y, Array.empty, Array.empty, 0L)
-      else SparkCore(x, y, sub.s, sub.t, sub.m.toLong)
-    }
-
-    if (warm.exists(w => w.nonEmpty && w.m <= localCutoff))
-      return finishLocally(restrict(base, sAlive, tAlive))
+    var mAlive: Long = warm.fold(Long.MaxValue)(_.m) // upper bound on alive edges
 
     var iterations = 0
     while (true) {
+      if (sAlive != null && mAlive <= limit) return Left(Alive(sAlive, tAlive, mAlive))
       iterations += 1
       require(iterations < 10000, "peeling failed to converge")
-      val cur =
-        if (sAlive == null) base
-        else restrict(base, sAlive, tAlive)
-      val rows = degreeRows(cur)
+      val rows = degreeRound(base, sAlive, tAlive)
       val curM = rows.collect { case (_, 0, c) => c }.sum
       val newS = rows.collect { case (id, 0, c) if c >= x => id }.sorted
       val newT = rows.collect { case (id, 1, c) if c >= y => id }.sorted
-      if (newS.isEmpty || newT.isEmpty)
-        return SparkCore(x, y, Array.empty, Array.empty, 0L)
+      if (newS.isEmpty || newT.isEmpty) return empty
       val stable = sAlive != null &&
         newS.length == sAlive.length && newT.length == tAlive.length
-      if (stable) {
-        // Fixpoint: no vertex fell below threshold, so every edge of `cur`
-        // survived; m is the sum of all out-degree rows.
-        return SparkCore(x, y, newS, newT, curM)
-      }
+      // Fixpoint: no vertex fell below threshold, so every edge of the
+      // round survived; m is the sum of all out-degree rows.
+      if (stable && curM > limit) return Right(SparkCore(x, y, newS, newT, curM))
       sAlive = newS
       tAlive = newT
-      if (curM <= localCutoff)
-        return finishLocally(restrict(base, sAlive, tAlive))
+      mAlive = curM
     }
     sys.error("unreachable")
   }

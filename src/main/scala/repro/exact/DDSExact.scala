@@ -53,29 +53,26 @@ object DDSExact {
     val start = System.nanoTime()
     def elapsedMs = (System.nanoTime() - start) / 1000000L
 
-    val full = engine.fullSub()
-    if (full.isEmpty)
-      return Result(Candidate(Array.empty, Array.empty, 0L), 0, 0, Vector.empty, elapsedMs, dnf = false, None)
+    // CoreExact seeds with the max-x·y core: None iff there are no edges, and
+    // its density ≥ √(x*·y*) ≥ 1. DC and Baseline flow on the whole graph,
+    // seeded with one edge (density 1 ≤ ρopt).
+    lazy val full = engine.fullSub()
+    val maxXY = if (cfg.mode == Mode.CoreExact) MaxCore.maxXY(engine) else None
+    val maxXYInfo = maxXY.map(mx => (mx.x, mx.y))
+    val seed =
+      if (cfg.mode == Mode.CoreExact) maxXY.map(_.candidate)
+      else full.edges.headOption.map { case (u, v) => Candidate(Array(u), Array(v), 1L) }
+    var best: Candidate = seed match {
+      case Some(c) => c
+      case None =>
+        return Result(Candidate(Array.empty, Array.empty, 0L), 0, 0, Vector.empty, elapsedMs, dnf = false, None)
+    }
 
     val n = engine.n
     var probes = 0
     var flows = 0
     val flowNodes = Vector.newBuilder[Int]
     var dnf = false
-
-    // ---- seed ----
-    var maxXYInfo: Option[(Int, Int)] = None
-    var best: Candidate = {
-      val (u, v) = full.edges.head
-      Candidate(Array(u), Array(v), 1L) // density 1 ≤ ρopt always
-    }
-    if (cfg.mode == Mode.CoreExact) {
-      MaxCore.maxXY(engine).foreach { mx =>
-        maxXYInfo = Some((mx.x, mx.y))
-        val c = mx.candidate
-        if (c.density > best.density) best = c
-      }
-    }
 
     def overBudget: Boolean = elapsedMs > cfg.wallBudgetMs
 

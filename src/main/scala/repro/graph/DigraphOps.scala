@@ -63,9 +63,6 @@ object DigraphOps {
     if (sSize <= 0 || tSize <= 0) 0.0
     else 2.0 * m / (sSize / math.sqrt(a) + math.sqrt(a) * tSize)
 
-  /** φ(a,b) = 2√(ab)/(a+b) ∈ (0,1]; the surrogate-vs-true density factor. */
-  def phi(a: Double, b: Double): Double = 2.0 * math.sqrt(a * b) / (a + b)
-
   /** Graph summary statistics. */
   def stats(edges: DataFrame): GraphStats = {
     val e   = edges.cache()

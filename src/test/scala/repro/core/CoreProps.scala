@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
+import repro.exact.RatioUtils
 import repro.graph.{DigraphOps, LocalDigraph}
 
 /** ScalaCheck property suite over the density algebra and the reference
@@ -25,8 +26,8 @@ object CoreProps extends Properties("core") {
 
   property("phi in (0,1], symmetric") = Prop.forAll(
     Gen.choose(0.01, 100.0), Gen.choose(0.01, 100.0)) { (a, b) =>
-    val p = DigraphOps.phi(a, b)
-    p > 0 && p <= 1.0 + 1e-12 && math.abs(p - DigraphOps.phi(b, a)) < 1e-12
+    val p = RatioUtils.phi(a, b)
+    p > 0 && p <= 1.0 + 1e-12 && math.abs(p - RatioUtils.phi(b, a)) < 1e-12
   }
 
   property("[x,y]-core satisfies its degree constraints") = Prop.forAll(

@@ -1,0 +1,105 @@
+package repro.core
+
+import repro.{SparkSpec, TestGraphs}
+import repro.exact.DDSExact
+import repro.graph.LocalDigraph
+
+/** The engine's Spark→driver hand-off: answers equal the in-memory engine's
+  * at every budget, and driver-local roots spare the Spark jobs they should.
+  */
+class SparkCoreEngineSpec extends SparkSpec {
+
+  private def assertSame(got: Option[CoreHandle], want: Option[CoreHandle], at: String): Unit = {
+    assert(got.isEmpty === want.isEmpty, at)
+    for (g <- got; w <- want) {
+      assert(g.candidate().s.toSeq === w.candidate().s.toSeq, s"$at S")
+      assert(g.candidate().t.toSeq === w.candidate().t.toSeq, s"$at T")
+      assert(g.m === w.m, s"$at m")
+      assert(g.sub().edges.toSet === w.sub().edges.toSet, s"$at edges")
+    }
+  }
+
+  /** Spark jobs started by ``f``, counted by job group. A sentinel job in a
+    * later group is awaited first, so the status store has seen every job
+    * of ``f`` (listener events arrive in order, asynchronously).
+    */
+  private def jobsIn(f: => Unit): Int = {
+    val sc = spark.sparkContext
+    val group = s"measured-${System.nanoTime()}"
+    sc.setJobGroup(group, group)
+    try f finally sc.clearJobGroup()
+    val sentinel = s"sentinel-$group"
+    sc.setJobGroup(sentinel, sentinel)
+    try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+    val deadline = System.nanoTime() + 30L * 1000000000L
+    while (sc.statusTracker.getJobIdsForGroup(sentinel).isEmpty && System.nanoTime() < deadline)
+      Thread.sleep(10)
+    assert(sc.statusTracker.getJobIdsForGroup(sentinel).nonEmpty, "sentinel job not seen")
+    sc.statusTracker.getJobIdsForGroup(group).length
+  }
+
+  // ~160 canonical edges; budget 80 hands off some cores and not others
+  private val budgets = Seq(0L, 10L, 80L, 1000L)
+  // descending, so a root exists before the queries it does not dominate
+  private val coldQueries = Seq((5, 5), (4, 4), (6, 2), (3, 3), (2, 2), (1, 1), (1, 3), (3, 1), (6, 6))
+  private val warmChain = Seq((1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 3), (4, 5), (5, 5), (6, 6))
+
+  for (seed <- 1 to 4) {
+    test(s"core(x,y,warm) equals LocalCoreEngine at any budget (seed=$seed)") {
+      val pairs = TestGraphs.skewedPairs(50, 260, 600 + seed)
+      val local = new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
+      val df = TestGraphs.df(spark, pairs)
+      for (budget <- budgets) {
+        val cold = new SparkCoreEngine(df, budget)
+        for ((x, y) <- coldQueries)
+          assertSame(cold.core(x, y), local.core(x, y), s"budget $budget cold [$x,$y]")
+        cold.release()
+
+        val warmed = new SparkCoreEngine(df, budget)
+        var warm: Option[CoreHandle] = None
+        for ((x, y) <- warmChain) {
+          val h = warmed.core(x, y, warm)
+          assertSame(h, local.core(x, y), s"budget $budget warm [$x,$y]")
+          if (h.nonEmpty) warm = h
+        }
+        warmed.release()
+      }
+    }
+  }
+
+  test("m within budget: fullSub, maxXY and CoreExact run one collect of the canonical edges") {
+    val pairs = TestGraphs.skewedPairs(50, 250, seed = 21)
+    val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs))
+    assert(engine.m <= 400000L)
+    val collect = jobsIn(engine.base.select("src", "dst").collect())
+    val solve = jobsIn {
+      engine.fullSub()
+      MaxCore.maxXY(engine)
+      DDSExact.run(engine, DDSExact.Config(DDSExact.Mode.CoreExact))
+    }
+    assert(collect >= 1)
+    assert(solve === collect)
+    engine.release()
+  }
+
+  test("budget below m: queries a root dominates run no Spark job") {
+    val pairs = TestGraphs.skewedPairs(50, 260, seed = 22)
+    val local = new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
+    val df = TestGraphs.df(spark, pairs)
+    val m = new SparkCoreEngine(df).m
+    val engine = new SparkCoreEngine(df, m - 1)
+    val c11 = engine.core(1, 1) // a Spark fixpoint: all m edges
+    val c22 = engine.core(2, 2, c11) // shrinks below m: handed to the driver
+    assert(c11.exists(_.m == m) && c22.nonEmpty)
+    val queries = for (x <- 2 to 5; y <- 2 to 5) yield (x, y)
+    var answers = Seq.empty[((Int, Int), Option[CoreHandle])]
+    val jobs = jobsIn {
+      answers = queries.flatMap { case (x, y) =>
+        Seq((x, y) -> engine.core(x, y), (x, y) -> engine.core(x, y, c11), (x, y) -> engine.core(x, y, c22))
+      }
+    }
+    assert(jobs === 0)
+    for (((x, y), h) <- answers) assertSame(h, local.core(x, y), s"[$x,$y]")
+    engine.release()
+  }
+}

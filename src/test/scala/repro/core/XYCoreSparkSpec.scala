@@ -63,34 +63,6 @@ class XYCoreSparkSpec extends SparkSpec {
     }
   }
 
-  for (seed <- 1 to 4) {
-    test(s"hybrid local-cutoff peel equals pure-dataflow peel (seed=$seed)") {
-      val pairs = TestGraphs.skewedPairs(50, 260, 600 + seed)
-      val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-      for ((x, y) <- Seq((1, 1), (2, 2), (3, 2))) {
-        val pure = XYCore.peel(base, x, y, None, localCutoff = 0L)
-        val hybridLow = XYCore.peel(base, x, y, None, localCutoff = 10L)
-        val hybridAll = XYCore.peel(base, x, y, None, localCutoff = 1000000L)
-        for (h <- Seq(hybridLow, hybridAll)) {
-          assert(h.s.toSeq === pure.s.toSeq, s"[$x,$y]")
-          assert(h.t.toSeq === pure.t.toSeq, s"[$x,$y]")
-          assert(h.m === pure.m, s"[$x,$y]")
-        }
-      }
-      base.unpersist()
-    }
-  }
-
-  test("hybrid peel honours a warm start below the cutoff") {
-    val pairs = TestGraphs.skewedPairs(40, 200, seed = 8)
-    val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
-    val c11 = XYCore.peel(base, 1, 1)
-    val cold = XYCore.peel(base, 2, 2)
-    val warm = XYCore.peel(base, 2, 2, Some(c11), localCutoff = 1000000L)
-    assert(warm.s.toSeq === cold.s.toSeq && warm.t.toSeq === cold.t.toSeq && warm.m === cold.m)
-    base.unpersist()
-  }
-
   test("warm start from a superset core gives the same result") {
     val pairs = TestGraphs.skewedPairs(40, 200, seed = 9)
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, pairs)).cache()
