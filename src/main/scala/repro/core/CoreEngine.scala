@@ -40,7 +40,8 @@ trait CoreEngine {
   def fullSub(): CoreSub
 
   /** The [x,y]-core, warm-started from a superset core when available
-    * (caller guarantees warm.x ≤ x and warm.y ≤ y). None if empty.
+    * (caller guarantees warm.x ≤ x and warm.y ≤ y). A handle this engine
+    * did not make is ignored. None if empty.
     */
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle]
 }
@@ -52,40 +53,21 @@ final class LocalCoreEngine(g: LocalDigraph) extends CoreEngine {
   def n: Long = g.n.toLong
   def m: Long = g.m.toLong
 
-  private lazy val full: CoreSub = {
-    val pairs = g.edgePairs.toArray
-    if (pairs.isEmpty) CoreSub.empty
-    else CoreSub(pairs.map(_._1).distinct.sorted, pairs.map(_._2).distinct.sorted, pairs)
-  }
-  def fullSub(): CoreSub = full
-
-  // warm cores are re-peeled many times in staircase searches; memoize the
-  // last CoreSub -> LocalDigraph conversion by reference identity
-  private var memoSub: CoreSub = null
-  private var memoGraph: LocalDigraph = null
-
-  private def graphOf(s: CoreSub): LocalDigraph = {
-    if (memoSub ne s) {
-      memoGraph = LocalDigraph.fromCleanPairs(s.edges.toSeq)
-      memoSub = s
-    }
-    memoGraph
-  }
+  private lazy val root: CoreSub = CoreSub.whole(g)
+  def fullSub(): CoreSub = root
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    val host = warm match {
-      case Some(h: H) if h.s.nonEmpty => graphOf(h.s)
-      case _                          => g // foreign/empty handle: ignore warm start
+    val from = warm match {
+      case Some(h: H) if h.s.host eq g => h.s
+      case _                           => root // another engine's handle: start from the root
     }
-    val sub = LocalXYCore.peel(host, x, y)
+    val sub = LocalXYCore.peel(from, x, y)
     if (sub.isEmpty) None else Some(H(x, y, sub))
   }
 }
 
 object LocalCoreEngine {
-  /** A core held on the driver. It warm-starts any local engine whose graph
-    * contains it (its edges alone determine every smaller core).
-    */
+  /** A core held on the driver, as masks over its engine's graph. */
   private final case class H(x: Int, y: Int, s: CoreSub) extends CoreHandle {
     def sSize: Long = s.sSize.toLong
     def tSize: Long = s.tSize.toLong
@@ -108,18 +90,10 @@ object LocalCoreEngine {
   * with m ≤ ``localCutoff`` is the root at (1,1).
   */
 final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
+  import SparkCoreEngine.H
+
   /** Canonicalized, cached base edge set all cores derive from. */
   val base: DataFrame = DigraphOps.canonicalize(edges0).cache()
-
-  private final case class H(core: SparkCore) extends CoreHandle {
-    def x: Int      = core.x
-    def y: Int      = core.y
-    def sSize: Long = core.s.length.toLong
-    def tSize: Long = core.t.length.toLong
-    def m: Long     = core.m
-    def sub(): CoreSub = XYCore.collectSub(base, core)
-    def candidate(): Candidate = Candidate(core.s, core.t, core.m)
-  }
 
   private lazy val st: repro.graph.GraphStats = DigraphOps.stats(base)
   def n: Long = st.n
@@ -141,23 +115,35 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
     r
   }
 
-  private lazy val collectedFull: CoreSub = new LocalCoreEngine(LocalDigraph.fromEdges(base)).fullSub()
+  private lazy val collectedFull: CoreSub = CoreSub.whole(LocalDigraph.fromEdges(base))
 
   // a root at (1,1) contains the [1,1]-core, which is the whole graph
   def fullSub(): CoreSub = rootFor(1, 1).fold(collectedFull)(_.fullSub())
 
   def core(x: Int, y: Int, warm: Option[CoreHandle] = None): Option[CoreHandle] = {
-    // local handles warm-start any root; Spark handles only the dataflow peel
-    val localWarm = warm.filterNot(_.isInstanceOf[H])
+    // a handle warm-starts only the root, or the engine, that made it
     rootFor(x, y) match {
-      case Some(r) => r.core(x, y, localWarm)
+      case Some(r) => r.core(x, y, warm)
       case None =>
-        XYCore.shrink(base, x, y, warm.collect { case h: H => h.core }, localCutoff) match {
-          case Right(c) => if (c.isEmpty) None else Some(H(c))
-          case Left(a)  => addRoot(x, y, XYCore.restrict(base, a.s, a.t)).core(x, y, localWarm)
+        XYCore.shrink(base, x, y, warm.collect { case h: H if h.owner eq this => h.core }, localCutoff) match {
+          case Right(c) => if (c.isEmpty) None else Some(H(this, c))
+          case Left(a)  => addRoot(x, y, XYCore.restrict(base, a.s, a.t)).core(x, y)
         }
     }
   }
 
   def release(): Unit = { base.unpersist(); () }
+}
+
+object SparkCoreEngine {
+  /** A core held as Spark alive sets over its ``owner``'s cached edges. */
+  private final case class H(owner: SparkCoreEngine, core: SparkCore) extends CoreHandle {
+    def x: Int      = core.x
+    def y: Int      = core.y
+    def sSize: Long = core.s.length.toLong
+    def tSize: Long = core.t.length.toLong
+    def m: Long     = core.m
+    def sub(): CoreSub = XYCore.collectSub(owner.base, core)
+    def candidate(): Candidate = Candidate(core.s, core.t, core.m)
+  }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.graph.LocalDigraph
 
 /** A computed [x,y]-core: the alive side sets and the edge count between
   * them. ``s``/``t`` are sorted original vertex ids. The induced edge list
@@ -108,13 +109,10 @@ object XYCore {
   def coreEdges(base: DataFrame, core: SparkCore): DataFrame =
     if (core.isEmpty) base.limit(0) else restrict(base, core.s, core.t)
 
-  /** Materialize a core's pair-subgraph on the driver (for flow networks). */
-  def collectSub(base: DataFrame, core: SparkCore): CoreSub = {
-    if (core.isEmpty) return CoreSub.empty
-    val edges = coreEdges(base, core)
-      .select("src", "dst")
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
-    CoreSub(core.s, core.t, edges)
-  }
+  /** Materialize a core's pair-subgraph on the driver (for flow networks).
+    * Every vertex of a non-empty core has an edge in it, so the collected
+    * edges are the whole of their graph.
+    */
+  def collectSub(base: DataFrame, core: SparkCore): CoreSub =
+    if (core.isEmpty) CoreSub.empty else CoreSub.whole(LocalDigraph.fromEdges(coreEdges(base, core)))
 }

@@ -20,7 +20,9 @@ import repro.flow.DensityFlow
   *  - ``CoreExact``: DC plus [x,y]-core pruning — the argmax at threshold
   *    g and ratio a lies in the [⌈g/(2√a)⌉, ⌈g·√a/2⌉]-core, so each flow
   *    network is built on that (shrinking) core; the search is seeded with
-  *    the max-x·y core (CoreApprox), whose density is ≥ ρopt/2.
+  *    the max-x·y core (CoreApprox), whose density is ≥ ρopt/2. With
+  *    a = p/q and g the surrogate of a candidate (m_c, S_c, T_c), the core
+  *    is [⌈q·m_c/D⌉, ⌈p·m_c/D⌉] with D = q|S_c| + p|T_c|, in integers.
   *
   * Per ratio, the surrogate maximum is found by Dinkelbach iteration:
   * repeat min-cut at g = current candidate's surrogate until no strictly
@@ -76,30 +78,33 @@ object DDSExact {
 
     def overBudget: Boolean = elapsedMs > cfg.wallBudgetMs
 
-    /** Exact surrogate argmax at ratio a; returns (o_a, argmax candidate). */
-    def probeRatio(a: Double): (Double, Candidate) = {
+    /** Exact surrogate argmax at ratio p/q. A candidate c is beaten at p/q
+      * by a pair with E'·D > m_c·(q|S'| + p|T'|), D = q|S_c| + p|T_c|.
+      */
+    def probeRatio(p: Long, q: Long): Candidate = {
       var cand = best
       var warm: Option[CoreHandle] = None
       var iter = 0
       while (true) {
         iter += 1
-        require(iter <= 1000, s"Dinkelbach failed to converge at a=$a")
-        val g = cand.surrogate(a)
+        if (iter > 1000) throw new DinkelbachDiverged(p, q, iter - 1, cand)
+        val d = Math.addExact(Math.multiplyExact(q, cand.sSize.toLong), Math.multiplyExact(p, cand.tSize.toLong))
         val sub = cfg.mode match {
           case Mode.CoreExact =>
-            val x = math.max(1L, math.ceil(g / (2.0 * math.sqrt(a)) - 1e-9).toLong).toInt
-            val y = math.max(1L, math.ceil(g * math.sqrt(a) / 2.0 - 1e-9).toLong).toInt
+            // the argmax beating m_c/D has out-degrees ≥ q·m_c/D, in-degrees ≥ p·m_c/D
+            val x = math.max(1L, ceilDiv(Math.multiplyExact(q, cand.m), d)).toInt
+            val y = math.max(1L, ceilDiv(Math.multiplyExact(p, cand.m), d)).toInt
             val w = warm.filter(h => h.x <= x && h.y <= y)
             engine.core(x, y, w) match {
-              case None    => return (g, cand)
+              case None    => return cand
               case Some(h) => warm = Some(h); h.sub()
             }
           case _ => full
         }
         flows += 1
         flowNodes += DensityFlow.networkNodes(sub)
-        DensityFlow.bestAbove(sub, g, a) match {
-          case None => return (g, cand)
+        DensityFlow.bestAbove(sub, p, q, cand.m, d) match {
+          case None => return cand
           case Some(c2) =>
             cand = c2
             if (c2.density > best.density) best = c2
@@ -112,24 +117,25 @@ object DDSExact {
       case Mode.Baseline =>
         // all candidate ratios p/q in reduced form, ascending
         val ratios = {
-          val buf = scala.collection.mutable.ArrayBuffer.empty[Double]
+          val buf = scala.collection.mutable.ArrayBuffer.empty[(Long, Long)]
           val nn = n.toInt
           var p = 1
           while (p <= nn) {
             var q = 1
             while (q <= nn) {
-              if (gcd(p, q) == 1) buf += p.toDouble / q
+              if (gcd(p, q) == 1) buf += ((p.toLong, q.toLong))
               q += 1
             }
             p += 1
           }
-          buf.sorted
+          buf.sortWith((a, b) => a._1 * b._2 < b._1 * a._2)
         }
         val it = ratios.iterator
         while (it.hasNext && !dnf) {
           if (overBudget) dnf = true
           else {
-            probeRatio(it.next())
+            val (p, q) = it.next()
+            probeRatio(p, q)
             probes += 1
           }
         }
@@ -146,7 +152,7 @@ object DDSExact {
               case Some((p, q)) if p > n || q > n => () // no candidate ratio inside
               case Some((p, q)) =>
                 val a = p.toDouble / q
-                val (oA, _) = probeRatio(a)
+                val oA = probeRatio(p, q).surrogate(a)
                 probes += 1
                 val theta = math.min(1.0, oA / math.max(best.density, 1e-12))
                 val r = RatioUtils.pruneRadius(theta)
@@ -161,6 +167,13 @@ object DDSExact {
     Result(best, probes, flows, flowNodes.result(), elapsedMs, dnf, maxXYInfo)
   }
 
+  private def ceilDiv(a: Long, b: Long): Long = -Math.floorDiv(-a, b)
+
   @annotation.tailrec
   private def gcd(a: Int, b: Int): Int = if (b == 0) a else gcd(b, a % b)
 }
+
+/** Dinkelbach iteration at ratio p/q did not converge. */
+final class DinkelbachDiverged(val p: Long, val q: Long, val iterations: Int, val candidate: Candidate)
+    extends RuntimeException(s"Dinkelbach did not converge at ratio $p/$q after $iterations iterations; " +
+      s"candidate |S|=${candidate.sSize} |T|=${candidate.tSize} m=${candidate.m}")

@@ -1,35 +1,42 @@
 package repro.flow
 
-import scala.collection.mutable.ArrayBuffer
-
-/** Dinic max-flow over double capacities, with min-cut extraction.
+/** Dinic max-flow over integer capacities, with min-cut extraction.
   *
   * The exact DDS algorithm needs a min s-t cut per density probe; the
   * paper's point is that core pruning makes these instances small, so a
-  * driver-local solver is the right substrate. Capacities are doubles
-  * (the density thresholds g/(2√a) are irrational); residuals below
-  * ``eps`` are treated as saturated.
+  * driver-local solver is the right substrate. Capacities are ``Long``s
+  * (``DensityFlow`` scales its rational capacities to integers), so flows
+  * and cuts are exact. The caller keeps the total source capacity below
+  * 2^63.
   */
-final class Dinic(val n: Int, val eps: Double = 1e-11) {
-  private val headAll = ArrayBuffer.empty[Int]   // edge -> head vertex
-  private val capAll  = ArrayBuffer.empty[Double]
-  private val nextOf  = ArrayBuffer.empty[Int]   // edge -> next edge of same tail
-  private val firstOf = Array.fill(n)(-1)        // vertex -> first edge
+final class Dinic(val n: Int) {
+  private var head = new Array[Int](16) // edge -> head vertex
+  private var cap  = new Array[Long](16)
+  private var nxt  = new Array[Int](16) // edge -> next edge of same tail
+  private var edges = 0
+  private val firstOf = Array.fill(n)(-1) // vertex -> first edge
+
+  private def push(u: Int, v: Int, c: Long): Unit = {
+    if (edges == head.length) {
+      head = java.util.Arrays.copyOf(head, 2 * edges)
+      cap = java.util.Arrays.copyOf(cap, 2 * edges)
+      nxt = java.util.Arrays.copyOf(nxt, 2 * edges)
+    }
+    head(edges) = v; cap(edges) = c; nxt(edges) = firstOf(u); firstOf(u) = edges
+    edges += 1
+  }
 
   /** Add a directed edge u→v with capacity c (reverse edge capacity 0).
     * Returns the forward edge index (even); reverse is index+1.
     */
-  def addEdge(u: Int, v: Int, c: Double): Int = {
-    require(c >= 0.0, s"negative capacity $c")
-    val id = headAll.length
-    headAll += v; capAll += c; nextOf += firstOf(u); firstOf(u) = id
-    headAll += u; capAll += 0.0; nextOf += firstOf(v); firstOf(v) = id + 1
+  def addEdge(u: Int, v: Int, c: Long): Int = {
+    require(c >= 0L, s"negative capacity $c")
+    val id = edges
+    push(u, v, c)
+    push(v, u, 0L)
     id
   }
 
-  private var head: Array[Int] = _
-  private var cap: Array[Double] = _
-  private var nxt: Array[Int] = _
   private val level = new Array[Int](n)
   private val it    = new Array[Int](n)
   private val queue = new Array[Int](n)
@@ -43,7 +50,7 @@ final class Dinic(val n: Int, val eps: Double = 1e-11) {
       var e = firstOf(u)
       while (e != -1) {
         val v = head(e)
-        if (cap(e) > eps && level(v) == -1) {
+        if (cap(e) > 0 && level(v) == -1) {
           level(v) = level(u) + 1
           queue(qt) = v; qt += 1
         }
@@ -53,16 +60,16 @@ final class Dinic(val n: Int, val eps: Double = 1e-11) {
     level(t) != -1
   }
 
-  private def dfs(u: Int, t: Int, pushed: Double): Double = {
+  private def dfs(u: Int, t: Int, pushed: Long): Long = {
     if (u == t) return pushed
-    var res = 0.0
+    var res = 0L
     var remaining = pushed
-    while (it(u) != -1 && remaining > eps) {
+    while (it(u) != -1 && remaining > 0) {
       val e = it(u)
       val v = head(e)
-      if (cap(e) > eps && level(v) == level(u) + 1) {
+      if (cap(e) > 0 && level(v) == level(u) + 1) {
         val d = dfs(v, t, math.min(remaining, cap(e)))
-        if (d > eps) {
+        if (d > 0) {
           cap(e) -= d
           cap(e ^ 1) += d
           res += d
@@ -78,16 +85,14 @@ final class Dinic(val n: Int, val eps: Double = 1e-11) {
   }
 
   /** Compute the max flow from s to t. Call at most once. */
-  def maxflow(s: Int, t: Int): Double = {
-    head = headAll.toArray; cap = capAll.toArray; nxt = nextOf.toArray
-    var total = 0.0
+  def maxflow(s: Int, t: Int): Long = {
+    var total = 0L
     while (bfs(s, t)) {
-      var u = 0
-      while (u < n) { it(u) = firstOf(u); u += 1 }
-      var f = dfs(s, t, Double.MaxValue / 4)
-      while (f > eps) {
+      System.arraycopy(firstOf, 0, it, 0, n)
+      var f = dfs(s, t, Long.MaxValue)
+      while (f > 0) {
         total += f
-        f = dfs(s, t, Double.MaxValue / 4)
+        f = dfs(s, t, Long.MaxValue)
       }
     }
     total
@@ -105,7 +110,7 @@ final class Dinic(val n: Int, val eps: Double = 1e-11) {
       var e = firstOf(u)
       while (e != -1) {
         val v = head(e)
-        if (cap(e) > eps && !seen(v)) { seen(v) = true; queue(qt) = v; qt += 1 }
+        if (cap(e) > 0 && !seen(v)) { seen(v) = true; queue(qt) = v; qt += 1 }
         e = nxt(e)
       }
     }

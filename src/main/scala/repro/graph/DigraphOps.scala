@@ -48,14 +48,6 @@ object DigraphOps {
     if (sSize <= 0 || tSize <= 0) 0.0
     else m.toDouble / math.sqrt(sSize.toDouble * tSize.toDouble)
 
-  /** ρ(S,T) computed from DataFrames (for Oracle-checked tests and reports). */
-  def densityOf(edges: DataFrame, s: DataFrame, t: DataFrame): Double = {
-    val sSize = s.select("id").distinct().count()
-    val tSize = t.select("id").distinct().count()
-    val m     = pairSubgraph(edges, s, t).count()
-    density(m, sSize, tSize)
-  }
-
   /** Fixed-ratio surrogate ρ'_a(S,T) = 2m / (|S|/√a + √a·|T|). AM–GM gives
     * ρ'_a ≤ ρ with equality iff |S|/|T| = a.
     */

@@ -36,38 +36,15 @@ final class LocalDigraph(val n: Int,
 
   def outDeg(u: Int): Int = outOff(u + 1) - outOff(u)
   def inDeg(v: Int): Int  = inOff(v + 1) - inOff(v)
-
-  /** |E(S,T)| for index-based membership masks. */
-  def edgesBetween(inS: Array[Boolean], inT: Array[Boolean]): Long = {
-    var c = 0L
-    var i = 0
-    while (i < m) { if (inS(src(i)) && inT(dst(i))) c += 1; i += 1 }
-    c
-  }
-
-  /** |E(S,T)| for original-id sets. */
-  def edgesBetweenIds(s: Set[Long], t: Set[Long]): Long = {
-    var c = 0L
-    var i = 0
-    while (i < m) { if (s.contains(ids(src(i))) && t.contains(ids(dst(i)))) c += 1; i += 1 }
-    c
-  }
-
-  def edgePairs: Seq[(Long, Long)] =
-    (0 until m).map(i => (ids(src(i)), ids(dst(i))))
 }
 
 object LocalDigraph {
 
-  /** Build from raw id pairs; self-loops dropped, duplicates deduped. */
-  def fromPairs(pairs: Seq[(Long, Long)]): LocalDigraph =
-    fromCleanPairs(pairs.filter(p => p._1 != p._2).distinct)
-
-  /** Build from pairs already known self-loop-free and deduped (core
-    * subgraphs of a canonicalized graph). Avoids the dedup pass and uses
-    * sort + binary search instead of a boxing hash map for id remapping.
+  /** Build from raw id pairs; self-loops dropped, duplicates deduped. Ids
+    * are remapped by sort + binary search, so ``ids`` is ascending.
     */
-  def fromCleanPairs(clean: Seq[(Long, Long)]): LocalDigraph = {
+  def fromPairs(pairs: Seq[(Long, Long)]): LocalDigraph = {
+    val clean = pairs.filter(p => p._1 != p._2).distinct.toArray
     val m = clean.length
     val all = new Array[Long](2 * m)
     var i = 0

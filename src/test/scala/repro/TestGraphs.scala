@@ -40,4 +40,24 @@ object TestGraphs {
       .distinct
       .take(m)
   }
+
+  /** The edges of g as original id pairs. */
+  def edgePairs(g: LocalDigraph): Seq[(Long, Long)] =
+    (0 until g.m).map(i => (g.ids(g.src(i)), g.ids(g.dst(i))))
+
+  /** |E(S,T)| for index-based membership masks. */
+  def edgesBetween(g: LocalDigraph, inS: Array[Boolean], inT: Array[Boolean]): Long =
+    (0 until g.m).count(i => inS(g.src(i)) && inT(g.dst(i))).toLong
+
+  /** |E(S,T)| for original-id sets. */
+  def edgesBetweenIds(g: LocalDigraph, s: Set[Long], t: Set[Long]): Long =
+    edgesBetween(g, g.ids.map(s.contains), g.ids.map(t.contains))
+
+  /** ρ(S,T) computed from DataFrames (vertex-id sets in column ``id``). */
+  def densityOf(edges: DataFrame, s: DataFrame, t: DataFrame): Double = {
+    val sSize = s.select("id").distinct().count()
+    val tSize = t.select("id").distinct().count()
+    val m     = DigraphOps.pairSubgraph(edges, s, t).count()
+    DigraphOps.density(m, sSize, tSize)
+  }
 }

@@ -56,7 +56,7 @@ object CoreProps extends Properties("core") {
   property("candidate density consistent with edge recount") = Prop.forAll(genGraph) { g =>
     val c = LocalXYCore.peel(g, 1, 1)
     c.isEmpty || {
-      val recount = g.edgesBetweenIds(c.s.toSet, c.t.toSet)
+      val recount = repro.TestGraphs.edgesBetweenIds(g, c.s.toSet, c.t.toSet)
       recount == c.m.toLong
     }
   }

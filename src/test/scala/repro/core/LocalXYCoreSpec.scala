@@ -29,8 +29,8 @@ class LocalXYCoreSpec extends AnyFunSuite {
     var t = g.ids.toSet
     var changed = true
     while (changed) {
-      val s2 = s.filter(u => g.edgePairs.count(e => e._1 == u && t.contains(e._2)) >= x)
-      val t2 = t.filter(v => g.edgePairs.count(e => e._2 == v && s2.contains(e._1)) >= y)
+      val s2 = s.filter(u => TestGraphs.edgePairs(g).count(e => e._1 == u && t.contains(e._2)) >= x)
+      val t2 = t.filter(v => TestGraphs.edgePairs(g).count(e => e._2 == v && s2.contains(e._1)) >= y)
       changed = s2 != s || t2 != t
       s = s2; t = t2
     }

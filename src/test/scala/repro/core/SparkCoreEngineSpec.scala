@@ -102,4 +102,23 @@ class SparkCoreEngineSpec extends SparkSpec {
     for (((x, y), h) <- answers) assertSame(h, local.core(x, y), s"[$x,$y]")
     engine.release()
   }
+
+  test("a handle from another engine warm-starts nothing: the answer is the cold one") {
+    val pairsB = TestGraphs.skewedPairs(50, 260, seed = 23)
+    // A's vertices are disjoint from B's, so a warm start from A's cores empties B's
+    val pairsA = TestGraphs.skewedPairs(50, 260, seed = 24).map { case (u, v) => (u + 1000, v + 1000) }
+    val local = new LocalCoreEngine(LocalDigraph.fromPairs(pairsB))
+    val queries = Seq((1, 1), (2, 2), (3, 2), (3, 3))
+    for (budget <- Seq(0L, 1000L)) {
+      val a = new SparkCoreEngine(TestGraphs.df(spark, pairsA), budget)
+      val b = new SparkCoreEngine(TestGraphs.df(spark, pairsB), budget)
+      val hA = a.core(1, 1)
+      assert(hA.nonEmpty)
+      for ((x, y) <- queries) assertSame(b.core(x, y, hA), local.core(x, y), s"budget $budget [$x,$y]")
+      a.release(); b.release()
+    }
+    val localA = new LocalCoreEngine(LocalDigraph.fromPairs(pairsA))
+    val hA = localA.core(1, 1)
+    for ((x, y) <- queries) assertSame(local.core(x, y, hA), local.core(x, y), s"local [$x,$y]")
+  }
 }

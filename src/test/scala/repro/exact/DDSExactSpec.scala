@@ -2,7 +2,7 @@ package repro.exact
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
-import repro.core.{LocalCoreEngine, SparkCoreEngine}
+import repro.core.{Candidate, LocalCoreEngine, SparkCoreEngine}
 import repro.graph.LocalDigraph
 import repro.ref.BruteForce
 
@@ -129,8 +129,29 @@ class DDSExactSpec extends AnyFunSuite {
     val pairs = TestGraphs.randomPairs(9, 28, seed = 7777)
     val g = LocalDigraph.fromPairs(pairs)
     val r = runMode(pairs, DDSExact.Mode.CoreExact)
-    val m = g.edgesBetweenIds(r.best.s.toSet, r.best.t.toSet)
+    val m = TestGraphs.edgesBetweenIds(g, r.best.s.toSet, r.best.t.toSet)
     assert(m === r.best.m)
+  }
+
+  // ---- differential: beyond brute force ----
+  /** ρ(a) = ρ(b), exactly: m_a²·|S_b||T_b| = m_b²·|S_a||T_a|. */
+  private def sameDensity(a: Candidate, b: Candidate): Boolean =
+    BigInt(a.m).pow(2) * b.sSize * b.tSize == BigInt(b.m).pow(2) * a.sSize * a.tSize
+
+  for ((name, n, m) <- Seq(("ER-XS", 60, 400), ("ER-S", 300, 2200)); seed <- 1 to 4) {
+    test(s"CoreExact equals DC on $name-sized random graphs (n=$n seed=$seed)") {
+      val pairs = TestGraphs.randomPairs(n, m, 4000 + seed)
+      val g = LocalDigraph.fromPairs(pairs)
+      val c = runMode(pairs, DDSExact.Mode.CoreExact)
+      val d = runMode(pairs, DDSExact.Mode.DC)
+      assert(sameDensity(c.best, d.best), s"CoreExact ρ=${c.density} DC ρ=${d.density}")
+      for (r <- Seq(c, d))
+        assert(r.best.m === TestGraphs.edgesBetweenIds(g, r.best.s.toSet, r.best.t.toSet))
+      if (n <= 60) {
+        val b = runMode(pairs, DDSExact.Mode.Baseline)
+        assert(sameDensity(b.best, c.best), s"Baseline ρ=${b.density} CoreExact ρ=${c.density}")
+      }
+    }
   }
 
   // ---- Spark engine parity ----

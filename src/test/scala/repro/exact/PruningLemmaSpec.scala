@@ -1,7 +1,7 @@
 package repro.exact
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestGraphs
+import repro.{ExactRef, TestGraphs}
 import repro.core.{LocalCoreEngine, SparkCoreEngine}
 import repro.graph.{DigraphOps, LocalDigraph}
 import repro.ref.BruteForce
@@ -43,32 +43,34 @@ class PruningLemmaSpec extends AnyFunSuite {
   for (seed <- 1 to 6) {
     test(s"core-restricted Dinkelbach reaches the global surrogate max (seed=$seed)") {
       // This is CoreExact's inner loop: flows built only on the
-      // [⌈g/2√a⌉,⌈g√a/2⌉]-core must still converge to the same optimum
-      // (core containment of the surrogate argmax).
+      // [⌈g/2√a⌉,⌈g√a/2⌉]-core, in integers [⌈q·num/den⌉,⌈p·num/den⌉] at
+      // a = p/q, must still converge to the same optimum (core containment
+      // of the surrogate argmax).
       val g = TestGraphs.randomLocal(8, 16 + seed, 9000 + seed)
       if (g.m > 0) {
         val engine = new LocalCoreEngine(g)
-        for (a <- Seq(0.5, 1.0, 2.0)) {
-          val opt = BruteForce.surrogateMax(g, a)
-          var gCur = 0.0
-          var last = 0.0
+        for ((p, q) <- Seq((1L, 2L), (1L, 1L), (2L, 1L))) {
+          val opt = ExactRef.max(g, p, q)
+          // threshold num/den = E/(q|S| + p|T|) of the last pair found
+          var num = 0L
+          var den = 1L
           var continue = true
           var iters = 0
           while (continue) {
             iters += 1
             assert(iters < 100)
-            val x = math.max(1L, math.ceil(gCur / (2 * math.sqrt(a)) - 1e-9).toLong).toInt
-            val y = math.max(1L, math.ceil(gCur * math.sqrt(a) / 2 - 1e-9).toLong).toInt
+            val x = math.max(1L, -Math.floorDiv(-q * num, den)).toInt
+            val y = math.max(1L, -Math.floorDiv(-p * num, den)).toInt
             engine.core(x, y) match {
               case None => continue = false
               case Some(h) =>
-                repro.flow.DensityFlow.bestAbove(h.sub(), gCur, a) match {
-                  case Some(c) => last = c.surrogate(a); gCur = last
+                repro.flow.DensityFlow.bestAbove(h.sub(), p, q, num, den) match {
+                  case Some(c) => num = c.m; den = q * c.sSize + p * c.tSize
                   case None    => continue = false
                 }
             }
           }
-          assert(math.abs(last - opt) < 1e-9, s"a=$a got $last expected $opt")
+          assert(ExactRef.compare((num, den), opt) === 0, s"a=$p/$q got $num/$den expected $opt")
         }
       }
     }

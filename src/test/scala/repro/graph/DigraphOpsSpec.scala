@@ -60,7 +60,7 @@ class DigraphOpsSpec extends SparkSpec {
   test("densityOf agrees with DuckDB-computed density") {
     val s = Seq(1L, 2L, 4L).toDF("id")
     val t = Seq(1L, 3L).toDF("id")
-    val viaDf = DigraphOps.densityOf(edges, s, t)
+    val viaDf = TestGraphs.densityOf(edges, s, t)
     // duckdb: count edges in the pair subgraph / sqrt(|S| |T|)
     import java.sql.DriverManager
     val conn = DriverManager.getConnection("jdbc:duckdb:")
