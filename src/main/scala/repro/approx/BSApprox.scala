@@ -2,7 +2,7 @@ package repro.approx
 
 import org.apache.spark.sql.DataFrame
 import repro.core.XYCore
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.{DigraphOps, GraphStats, LocalDigraph}
 
 /** Bahmani-style batch-peeling approximation (the natural dataflow
   * baseline: the original was designed for MapReduce).
@@ -25,10 +25,12 @@ object BSApprox {
     val t0 = System.nanoTime()
     def elapsed = (System.nanoTime() - t0) / 1000000L
     val base = DigraphOps.canonicalize(edges0).cache()
-    val m0 = base.count()
-    if (m0 == 0) return ApproxResult("BSApprox", 0.0, 0, 0, elapsed, "empty")
-    val nS0 = base.select("src").distinct().count()
-    val nT0 = base.select("dst").distinct().count()
+    // the unrestricted round: the graph's summary and every ratio's first round
+    val whole = XYCore.degreeRound(base, null, null)
+    val st = GraphStats.of(whole)
+    if (st.m == 0) { base.unpersist(); return ApproxResult("BSApprox", 0.0, 0, 0, elapsed, "empty") }
+    val nS0 = st.nSrc
+    val nT0 = st.nDst
 
     var best = 0.0
     var bestS = 0L
@@ -44,7 +46,7 @@ object BSApprox {
       while (live && !budgetHit) {
         if (elapsed > wallBudgetMs) budgetHit = true
         else {
-          val rows = XYCore.degreeRound(base, sAlive, tAlive)
+          val rows = if (sAlive == null) whole else XYCore.degreeRound(base, sAlive, tAlive)
           val sDeg = rows.filter(_._2 == 0)
           val tDeg = rows.filter(_._2 == 1)
           if (sDeg.isEmpty || tDeg.isEmpty) live = false

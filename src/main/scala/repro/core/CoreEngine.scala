@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.graph.{DigraphOps, LocalDigraph}
+import repro.graph.{DigraphOps, GraphStats, LocalDigraph}
 
 /** A computed [x,y]-core: side sizes and edge count up front, edges
   * materialized lazily (flow networks need them, size probes do not).
@@ -87,7 +87,8 @@ object LocalCoreEngine {
   * every x' ≥ x, y' ≥ y, and that core of the root equals the core of G, so
   * the root answers every later query it dominates without a Spark job. A
   * fixpoint above the budget is returned as a Spark handle. The whole graph
-  * with m ≤ ``localCutoff`` is the root at (1,1).
+  * with m ≤ ``localCutoff`` is the root at (1,1); above the budget the
+  * [1,1]-core comes from the setup degree round, with no further job.
   */
 final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) extends CoreEngine {
   import SparkCoreEngine.H
@@ -95,9 +96,21 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
   /** Canonicalized, cached base edge set all cores derive from. */
   val base: DataFrame = DigraphOps.canonicalize(edges0).cache()
 
-  private lazy val st: repro.graph.GraphStats = DigraphOps.stats(base)
-  def n: Long = st.n
-  def m: Long = st.m
+  /** One whole-graph degree round, run at the first ``n``, ``m`` or
+    * ``stats``: the graph's summary and its [1,1]-core. Every source's
+    * out-edges end at destinations and every destination's in-edges start
+    * at sources, so all sources, all destinations and all m edges form the
+    * [1,1]-core without a peel.
+    */
+  private lazy val summary: (GraphStats, SparkCore) = {
+    val rows = XYCore.degreeRound(base, null, null)
+    val st = GraphStats.of(rows)
+    (st, SparkCore(1, 1, rows.collect { case (id, 0, _) => id }.sorted,
+                   rows.collect { case (id, 1, _) => id }.sorted, st.m))
+  }
+  def stats: GraphStats = summary._1
+  def n: Long = stats.n
+  def m: Long = stats.m
 
   /** Roots by key; an antichain, as a new root replaces the roots it dominates. */
   private var roots = List.empty[((Int, Int), LocalCoreEngine)]
@@ -107,7 +120,7 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
     */
   private def rootFor(x: Int, y: Int): Option[LocalCoreEngine] =
     roots.collectFirst { case ((rx, ry), r) if rx <= x && ry <= y => r }
-      .orElse(Option.when(st.m <= localCutoff)(addRoot(1, 1, base)))
+      .orElse(Option.when(m <= localCutoff)(addRoot(1, 1, base)))
 
   private def addRoot(x: Int, y: Int, edges: DataFrame): LocalCoreEngine = {
     val r = new LocalCoreEngine(LocalDigraph.fromEdges(edges))
@@ -124,6 +137,9 @@ final class SparkCoreEngine(edges0: DataFrame, localCutoff: Long = 400000L) exte
     // a handle warm-starts only the root, or the engine, that made it
     rootFor(x, y) match {
       case Some(r) => r.core(x, y, warm)
+      case None if x == 1 && y == 1 =>
+        val whole = summary._2
+        if (whole.isEmpty) None else Some(H(this, whole))
       case None =>
         XYCore.shrink(base, x, y, warm.collect { case h: H if h.owner eq this => h.core }, localCutoff) match {
           case Right(c) => if (c.isEmpty) None else Some(H(this, c))

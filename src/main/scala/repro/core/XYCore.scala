@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.graph.LocalDigraph
+import repro.graph.{DigraphOps, LocalDigraph}
 
 /** A computed [x,y]-core: the alive side sets and the edge count between
   * them. ``s``/``t`` are sorted original vertex ids. The induced edge list
@@ -18,6 +18,13 @@ final case class SparkCore(x: Int, y: Int, s: Array[Long], t: Array[Long], m: Lo
   */
 final case class Alive(s: Array[Long], t: Array[Long], m: Long)
 
+/** Degree rounds at [x,y] did not reach a fixpoint; the alive sides still
+  * had ``sSize`` and ``tSize`` vertices after ``iterations`` rounds.
+  */
+final class PeelDiverged(val x: Int, val y: Int, val iterations: Int, val sSize: Int, val tSize: Int)
+    extends RuntimeException(s"peeling [$x,$y] did not converge after $iterations rounds; " +
+      s"alive |S|=$sSize |T|=$tSize")
+
 /** Iterative [x,y]-core peeling as Spark dataflow.
   *
   * The loop keeps the *edge set* in Spark and the (much smaller) alive
@@ -30,23 +37,12 @@ final case class Alive(s: Array[Long], t: Array[Long], m: Long)
   */
 object XYCore {
 
-  /** One degree round, one Spark job: the out- and in-degrees of the
+  /** One degree round, one aggregation: the out- and in-degrees of the
     * pair-subgraph of ``base`` on (s, t) — both null = all of ``base`` — as
     * rows (id, side 0=src/1=dst, degree).
     */
-  def degreeRound(base: DataFrame, s: Array[Long], t: Array[Long]): Array[(Long, Int, Long)] = {
-    val cur = if (s == null) base else restrict(base, s, t)
-    cur.select(
-      explode(array(
-        struct(col("src").as("id"), lit(0).as("side")),
-        struct(col("dst").as("id"), lit(1).as("side"))
-      )).as("v")
-    ).select(col("v.id").as("id"), col("v.side").as("side"))
-      .groupBy("id", "side")
-      .agg(count(lit(1)).as("cnt"))
-      .collect()
-      .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
-  }
+  def degreeRound(base: DataFrame, s: Array[Long], t: Array[Long]): Array[(Long, Int, Long)] =
+    DigraphOps.degrees(if (s == null) base else restrict(base, s, t))
 
   /** The edges of ``base`` from ``s`` into ``t`` (broadcast semi-joins). */
   def restrict(base: DataFrame, s: Array[Long], t: Array[Long]): DataFrame = {
@@ -87,7 +83,8 @@ object XYCore {
     while (true) {
       if (sAlive != null && mAlive <= limit) return Left(Alive(sAlive, tAlive, mAlive))
       iterations += 1
-      require(iterations < 10000, "peeling failed to converge")
+      // sAlive is set after the first round
+      if (iterations >= 10000) throw new PeelDiverged(x, y, iterations - 1, sAlive.length, tAlive.length)
       val rows = degreeRound(base, sAlive, tAlive)
       val curM = rows.collect { case (_, 0, c) => c }.sum
       val newS = rows.collect { case (id, 0, c) if c >= x => id }.sorted

@@ -7,6 +7,21 @@ import org.apache.spark.sql.functions._
 final case class GraphStats(n: Long, m: Long, nSrc: Long, nDst: Long,
                             maxOutDeg: Long, maxInDeg: Long)
 
+object GraphStats {
+
+  /** The summary of a graph from its degree rows (id, side 0=src/1=dst,
+    * degree), as [[DigraphOps.degrees]] returns them: every source has one
+    * side-0 row, every destination one side-1 row, and the out-degrees sum
+    * to m.
+    */
+  def of(rows: Array[(Long, Int, Long)]): GraphStats = {
+    val (out, in) = rows.partition(_._2 == 0)
+    GraphStats(rows.iterator.map(_._1).distinct.size.toLong, out.iterator.map(_._3).sum,
+               out.length.toLong, in.length.toLong,
+               out.iterator.map(_._3).maxOption.getOrElse(0L), in.iterator.map(_._3).maxOption.getOrElse(0L))
+  }
+}
+
 /** DataFrame operations over simple directed graphs.
   *
   * Edges are DataFrames with two LONG columns ``src`` and ``dst``. All
@@ -22,26 +37,20 @@ object DigraphOps {
       .where(col("src") =!= col("dst"))
       .dropDuplicates("src", "dst")
 
-  /** Distinct vertices (endpoints of at least one edge), column ``id``. */
-  def vertices(edges: DataFrame): DataFrame =
-    edges.select(col("src").as("id")).union(edges.select(col("dst").as("id"))).distinct()
-
-  /** Out-degree per source vertex, columns ``id``, ``deg``. */
-  def outDegrees(edges: DataFrame): DataFrame =
-    edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
-
-  /** In-degree per destination vertex, columns ``id``, ``deg``. */
-  def inDegrees(edges: DataFrame): DataFrame =
-    edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("deg"))
-
-  /** Edges from S to T: semi-joins against vertex-id DataFrames (column ``id``).
-    * The id sets are expected to be small relative to the edge set, so we
-    * broadcast them explicitly (auto-broadcast is disabled session-wide).
+  /** The out- and in-degrees of ``edges`` as rows (id, side 0=src/1=dst,
+    * degree): one exploded aggregation, collected.
     */
-  def pairSubgraph(edges: DataFrame, s: DataFrame, t: DataFrame): DataFrame =
-    edges
-      .join(broadcast(s.select(col("id").as("__s"))), col("src") === col("__s"), "left_semi")
-      .join(broadcast(t.select(col("id").as("__t"))), col("dst") === col("__t"), "left_semi")
+  def degrees(edges: DataFrame): Array[(Long, Int, Long)] =
+    edges.select(
+      explode(array(
+        struct(col("src").as("id"), lit(0).as("side")),
+        struct(col("dst").as("id"), lit(1).as("side"))
+      )).as("v")
+    ).select(col("v.id").as("id"), col("v.side").as("side"))
+      .groupBy("id", "side")
+      .agg(count(lit(1)).as("cnt"))
+      .collect()
+      .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
 
   /** Directed density ρ(S,T) = |E(S,T)| / sqrt(|S|·|T|) (Kannan–Vinay). */
   def density(m: Long, sSize: Long, tSize: Long): Double =
@@ -55,18 +64,8 @@ object DigraphOps {
     if (sSize <= 0 || tSize <= 0) 0.0
     else 2.0 * m / (sSize / math.sqrt(a) + math.sqrt(a) * tSize)
 
-  /** Graph summary statistics. */
-  def stats(edges: DataFrame): GraphStats = {
-    val e   = edges.cache()
-    val m   = e.count()
-    val n   = vertices(e).count()
-    val row = e
-      .agg(countDistinct(col("src")).as("ns"), countDistinct(col("dst")).as("nt"))
-      .head()
-    val maxOut = if (m == 0) 0L else outDegrees(e).agg(max("deg")).head().getLong(0)
-    val maxIn  = if (m == 0) 0L else inDegrees(e).agg(max("deg")).head().getLong(0)
-    GraphStats(n, m, row.getLong(0), row.getLong(1), maxOut, maxIn)
-  }
+  /** Graph summary statistics of ``edges`` (one degree round). */
+  def stats(edges: DataFrame): GraphStats = GraphStats.of(degrees(edges))
 
   /** Build an edge DataFrame from in-memory pairs (tests, toy graphs). */
   def edgesDf(spark: SparkSession, pairs: Seq[(Long, Long)]): DataFrame = {

@@ -1,7 +1,8 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.{DigraphOps, LocalDigraph}
+import org.apache.spark.sql.functions._
+import repro.graph.{DigraphOps, GraphStats, LocalDigraph}
 import scala.util.Random
 
 /** Deterministic random digraphs for tests (driver-side, seed-exact). */
@@ -53,11 +54,48 @@ object TestGraphs {
   def edgesBetweenIds(g: LocalDigraph, s: Set[Long], t: Set[Long]): Long =
     edgesBetween(g, g.ids.map(s.contains), g.ids.map(t.contains))
 
+  /** Inputs for checking graph summaries: the skewed graphs of
+    * SparkCoreEngineSpec, an empty input, and inputs of only self-loops and
+    * duplicates.
+    */
+  def statsInputs: Seq[(String, Seq[(Long, Long)])] =
+    (1 to 4).map(seed => s"skewed seed=$seed" -> skewedPairs(50, 260, 600 + seed)) ++ Seq(
+      "empty" -> Seq.empty,
+      "only self-loops" -> Seq((1L, 1L), (2L, 2L), (2L, 2L)),
+      "self-loops and duplicates" -> Seq((1L, 1L), (3L, 4L), (3L, 4L), (4L, 3L), (5L, 5L), (4L, 3L), (3L, 4L)))
+
+  /** The summary statistics of g, counted on the driver. */
+  def localStats(g: LocalDigraph): GraphStats =
+    GraphStats(g.n.toLong, g.m.toLong, (0 until g.n).count(g.outDeg(_) > 0).toLong,
+               (0 until g.n).count(g.inDeg(_) > 0).toLong,
+               (0 until g.n).map(g.outDeg).maxOption.getOrElse(0).toLong,
+               (0 until g.n).map(g.inDeg).maxOption.getOrElse(0).toLong)
+
+  /** Distinct vertices (endpoints of at least one edge), column ``id``. */
+  def vertices(edges: DataFrame): DataFrame =
+    edges.select(col("src").as("id")).union(edges.select(col("dst").as("id"))).distinct()
+
+  /** Out-degree per source vertex, columns ``id``, ``deg``. */
+  def outDegrees(edges: DataFrame): DataFrame =
+    edges.groupBy(col("src").as("id")).agg(count(lit(1)).as("deg"))
+
+  /** In-degree per destination vertex, columns ``id``, ``deg``. */
+  def inDegrees(edges: DataFrame): DataFrame =
+    edges.groupBy(col("dst").as("id")).agg(count(lit(1)).as("deg"))
+
+  /** Edges from S to T: broadcast semi-joins against vertex-id DataFrames
+    * (column ``id``).
+    */
+  def pairSubgraph(edges: DataFrame, s: DataFrame, t: DataFrame): DataFrame =
+    edges
+      .join(broadcast(s.select(col("id").as("__s"))), col("src") === col("__s"), "left_semi")
+      .join(broadcast(t.select(col("id").as("__t"))), col("dst") === col("__t"), "left_semi")
+
   /** ρ(S,T) computed from DataFrames (vertex-id sets in column ``id``). */
   def densityOf(edges: DataFrame, s: DataFrame, t: DataFrame): Double = {
     val sSize = s.select("id").distinct().count()
     val tSize = t.select("id").distinct().count()
-    val m     = DigraphOps.pairSubgraph(edges, s, t).count()
+    val m     = pairSubgraph(edges, s, t).count()
     DigraphOps.density(m, sSize, tSize)
   }
 }

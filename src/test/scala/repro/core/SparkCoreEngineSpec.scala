@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.exact.DDSExact
-import repro.graph.LocalDigraph
+import repro.graph.{DigraphOps, LocalDigraph}
 
 /** The engine's Spark→driver hand-off: answers equal the in-memory engine's
   * at every budget, and driver-local roots spare the Spark jobs they should.
@@ -100,6 +100,46 @@ class SparkCoreEngineSpec extends SparkSpec {
     }
     assert(jobs === 0)
     for (((x, y), h) <- answers) assertSame(h, local.core(x, y), s"[$x,$y]")
+    engine.release()
+  }
+
+  test("n and m equal the driver-side counts, including degenerate inputs") {
+    for ((name, pairs) <- TestGraphs.statsInputs; budget <- Seq(0L, 400000L)) {
+      val g = LocalDigraph.fromPairs(pairs)
+      val engine = new SparkCoreEngine(TestGraphs.df(spark, pairs), budget)
+      assert(engine.stats === TestGraphs.localStats(g), s"$name budget $budget")
+      assert((engine.n, engine.m) === ((g.n.toLong, g.m.toLong)), s"$name budget $budget")
+      assert(engine.core(1, 1).isEmpty === (g.m == 0), s"$name budget $budget [1,1]")
+      engine.release()
+    }
+  }
+
+  test("budget below m: the [1,1]-core comes from setup with no Spark job") {
+    for (seed <- 1 to 4) {
+      val pairs = TestGraphs.skewedPairs(50, 260, 600 + seed)
+      val local = new LocalCoreEngine(LocalDigraph.fromPairs(pairs))
+      val df = TestGraphs.df(spark, pairs)
+      val m = new SparkCoreEngine(df).m
+      val engine = new SparkCoreEngine(df, m - 1)
+      assert(engine.m === m)
+      var c11: Option[CoreHandle] = None
+      assert(jobsIn { c11 = engine.core(1, 1) } === 0, s"seed $seed")
+      assertSame(c11, local.core(1, 1), s"seed $seed [1,1]")
+      engine.release()
+    }
+  }
+
+  test("setup runs no more Spark jobs than caching the edges and one degree round") {
+    val df = TestGraphs.df(spark, TestGraphs.skewedPairs(50, 260, seed = 25))
+    val oneRound = jobsIn {
+      val base = DigraphOps.canonicalize(df).cache()
+      XYCore.degreeRound(base, null, null)
+      base.unpersist(blocking = true)
+    }
+    val engine = new SparkCoreEngine(df)
+    val setup = jobsIn(engine.m)
+    assert(oneRound >= 1)
+    assert(setup <= oneRound)
     engine.release()
   }
 

@@ -82,6 +82,13 @@ class XYCoreSparkSpec extends SparkSpec {
     base.unpersist()
   }
 
+  test("PeelDiverged names the core, the rounds and the alive sides") {
+    val e = new PeelDiverged(3, 2, 9999, 40, 17)
+    assert((e.x, e.y, e.iterations, e.sSize, e.tSize) === ((3, 2, 9999, 40, 17)))
+    assert(e.getMessage === "peeling [3,2] did not converge after 9999 rounds; alive |S|=40 |T|=17")
+    assert(e.isInstanceOf[RuntimeException])
+  }
+
   test("invalid warm start is rejected") {
     val base = DigraphOps.canonicalize(TestGraphs.df(spark, Seq((1L, 2L))))
     val c = SparkCore(2, 2, Array(1L), Array(2L), 1L)
@@ -96,7 +103,7 @@ class XYCoreSparkSpec extends SparkSpec {
     if (core.nonEmpty) {
       val coreEdges = XYCore.coreEdges(base, core)
       val sDf = core.s.toSeq.toDF("id")
-      val violators = DigraphOps.outDegrees(coreEdges)
+      val violators = TestGraphs.outDegrees(coreEdges)
         .where($"deg" < x)
         .join(sDf, "id")
       Oracle.assertEquivalent(

@@ -28,21 +28,31 @@ class DigraphOpsSpec extends SparkSpec {
 
   test("out-degrees match DuckDB") {
     Oracle.assertEquivalent(
-      DigraphOps.outDegrees(edges).select($"id", $"deg".cast("string").as("deg")),
+      TestGraphs.outDegrees(edges).select($"id", $"deg".cast("string").as("deg")),
       "SELECT src AS id, CAST(COUNT(*) AS VARCHAR) AS deg FROM edges GROUP BY src",
       "edges" -> edges)
   }
 
   test("in-degrees match DuckDB") {
     Oracle.assertEquivalent(
-      DigraphOps.inDegrees(edges).select($"id", $"deg".cast("string").as("deg")),
+      TestGraphs.inDegrees(edges).select($"id", $"deg".cast("string").as("deg")),
       "SELECT dst AS id, CAST(COUNT(*) AS VARCHAR) AS deg FROM edges GROUP BY dst",
+      "edges" -> edges)
+  }
+
+  test("degrees match DuckDB out- and in-degrees") {
+    val rows = DigraphOps.degrees(edges).toSeq
+      .map { case (id, side, deg) => (id, side.toLong, deg.toString) }
+      .toDF("id", "side", "deg")
+    Oracle.assertEquivalent(rows,
+      "SELECT src AS id, 0 AS side, CAST(COUNT(*) AS VARCHAR) AS deg FROM edges GROUP BY src " +
+        "UNION ALL SELECT dst, 1, CAST(COUNT(*) AS VARCHAR) FROM edges GROUP BY dst",
       "edges" -> edges)
   }
 
   test("vertices match DuckDB distinct endpoints") {
     Oracle.assertEquivalent(
-      DigraphOps.vertices(edges),
+      TestGraphs.vertices(edges),
       "SELECT DISTINCT id FROM (SELECT src AS id FROM edges UNION ALL SELECT dst FROM edges)",
       "edges" -> edges)
   }
@@ -51,7 +61,7 @@ class DigraphOpsSpec extends SparkSpec {
     val s = Seq(1L, 2L, 4L).toDF("id")
     val t = Seq(1L, 3L).toDF("id")
     Oracle.assertEquivalent(
-      DigraphOps.pairSubgraph(edges, s, t),
+      TestGraphs.pairSubgraph(edges, s, t),
       "SELECT e.src AS src, e.dst AS dst FROM edges e " +
         "WHERE e.src IN (SELECT id FROM s) AND e.dst IN (SELECT id FROM t)",
       "edges" -> edges, "s" -> s, "t" -> t)
@@ -120,9 +130,22 @@ class DigraphOpsSpec extends SparkSpec {
     assert(st.n === 0 && st.m === 0 && st.maxOutDeg === 0 && st.maxInDeg === 0)
   }
 
+  test("stats equals the driver-side count of every field") {
+    for ((name, in) <- TestGraphs.statsInputs) {
+      val want = TestGraphs.localStats(LocalDigraph.fromPairs(in))
+      assert(DigraphOps.stats(DigraphOps.canonicalize(TestGraphs.df(spark, in))) === want, name)
+    }
+  }
+
+  test("GraphStats.of counts a vertex on both sides once") {
+    val rows = Array((1L, 0, 2L), (2L, 1, 1L), (3L, 1, 1L), (2L, 0, 1L), (1L, 1, 1L))
+    assert(GraphStats.of(rows) === GraphStats(n = 3, m = 3, nSrc = 2, nDst = 3, maxOutDeg = 2, maxInDeg = 1))
+    assert(GraphStats.of(Array.empty) === GraphStats(0, 0, 0, 0, 0, 0))
+  }
+
   test("pairSubgraph with empty sides is empty") {
     val s = Seq.empty[Long].toDF("id")
     val t = Seq(1L).toDF("id")
-    assert(DigraphOps.pairSubgraph(edges, s, t).count() === 0)
+    assert(TestGraphs.pairSubgraph(edges, s, t).count() === 0)
   }
 }
